@@ -65,14 +65,21 @@ impl Suite {
     pub fn names(&self) -> Vec<String> {
         self.sessions.iter().map(|s| s.app.name.clone()).collect()
     }
+}
 
-    /// Normalized execution time (%) for one configuration, Test input.
-    #[must_use]
-    pub fn normalized(&self, session: &Session, config: &SimConfig) -> f64 {
-        let base = session.simulate(Input::Test, &SimConfig::strict(config.link));
-        let r = session.simulate(Input::Test, config);
-        normalized_percent(r.total_cycles, base.total_cycles)
-    }
+/// The strict total of `session` on `link`, Test input: the baseline a
+/// table's cells are normalized against, computed once per row and link.
+fn strict_total(session: &Session, link: Link) -> u64 {
+    session
+        .simulate(Input::Test, &SimConfig::strict(link))
+        .total_cycles
+}
+
+/// Normalized execution time (%) for one configuration, Test input,
+/// against the row's `strict_total`.
+fn normalized(session: &Session, config: &SimConfig, strict_total: u64) -> f64 {
+    let r = session.simulate(Input::Test, config);
+    normalized_percent(r.total_cycles, strict_total)
 }
 
 /// Table 2: computed program statistics (delegates to the workloads
@@ -224,6 +231,7 @@ pub fn parallel_table(suite: &Suite, link: Link, data_layout: DataLayout) -> Par
         .sessions
         .iter()
         .map(|s| {
+            let base = strict_total(s, link);
             let mut cells = [[0.0; 4]; 3];
             for (o, ordering) in ORDERINGS.iter().enumerate() {
                 for (l, &limit) in LIMITS.iter().enumerate() {
@@ -239,7 +247,7 @@ pub fn parallel_table(suite: &Suite, link: Link, data_layout: DataLayout) -> Par
                         replicas: None,
                         byzantine: None,
                     };
-                    cells[o][l] = suite.normalized(s, &config);
+                    cells[o][l] = normalized(s, &config, base);
                 }
             }
             ParallelRow {
@@ -292,6 +300,7 @@ pub fn interleaved_table(suite: &Suite, data_layout: DataLayout) -> InterleavedT
         .map(|s| {
             let mut cols = [0.0; 6];
             for (k, link) in LINKS.iter().enumerate() {
+                let base = strict_total(s, *link);
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
                         link: *link,
@@ -305,7 +314,7 @@ pub fn interleaved_table(suite: &Suite, data_layout: DataLayout) -> InterleavedT
                         replicas: None,
                         byzantine: None,
                     };
-                    cols[k * 3 + o] = suite.normalized(s, &config);
+                    cols[k * 3 + o] = normalized(s, &config, base);
                 }
             }
             SixColRow {
@@ -387,6 +396,7 @@ pub fn table10(suite: &Suite) -> (InterleavedTable, InterleavedTable) {
         .map(|s| {
             let mut cols = [0.0; 6];
             for (k, link) in LINKS.iter().enumerate() {
+                let base = strict_total(s, *link);
                 for (o, ordering) in ORDERINGS.iter().enumerate() {
                     let config = SimConfig {
                         link: *link,
@@ -400,7 +410,7 @@ pub fn table10(suite: &Suite) -> (InterleavedTable, InterleavedTable) {
                         replicas: None,
                         byzantine: None,
                     };
-                    cols[k * 3 + o] = suite.normalized(s, &config);
+                    cols[k * 3 + o] = normalized(s, &config, base);
                 }
             }
             SixColRow {

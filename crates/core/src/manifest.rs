@@ -31,10 +31,10 @@ pub fn build_manifest(units: &[ClassUnits], epoch: u64) -> UnitManifest {
         .enumerate()
         .map(|(c, u)| {
             let class = u32::try_from(c).expect("class index fits u32");
-            (0..u.unit_count())
-                .map(|i| {
+            u.sizes()
+                .enumerate()
+                .map(|(i, size)| {
                     let unit = u32::try_from(i).expect("unit index fits u32");
-                    let size = u.boundary(i) - if i == 0 { 0 } else { u.boundary(i - 1) };
                     UnitManifest::digest_of(epoch, class, unit, size)
                 })
                 .collect()

@@ -90,6 +90,14 @@ impl ClassUnits {
         self.prelude + self.methods.iter().sum::<u64>() + self.trailing
     }
 
+    /// Unit sizes in stream order: the prelude, each method, then the
+    /// trailing unit.
+    pub fn sizes(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.prelude)
+            .chain(self.methods.iter().copied())
+            .chain(std::iter::once(self.trailing))
+    }
+
     /// Cumulative byte offset at which unit `i` completes.
     #[must_use]
     pub fn boundary(&self, unit: usize) -> u64 {
@@ -223,6 +231,26 @@ mod tests {
                 last = b;
             }
             assert_eq!(last, u.total());
+        }
+    }
+
+    #[test]
+    fn sizes_are_the_gaps_between_boundaries() {
+        let (app, r, parts) = setup();
+        let mut units = class_units(&app, &r, Some(&parts), DELIMITER_BYTES);
+        units.push(ClassUnits {
+            prelude: 7,
+            methods: vec![],
+            trailing: 3,
+        });
+        for u in &units {
+            let sizes: Vec<u64> = u.sizes().collect();
+            assert_eq!(sizes.len(), u.unit_count());
+            let mut prev = 0;
+            for (i, &size) in sizes.iter().enumerate() {
+                assert_eq!(size, u.boundary(i) - prev, "unit {i}");
+                prev = u.boundary(i);
+            }
         }
     }
 

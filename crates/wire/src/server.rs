@@ -205,7 +205,7 @@ impl WireServer {
         let shared = Arc::new(Shared {
             plans: plans
                 .into_iter()
-                .map(|p| (p.benchmark.clone(), Arc::new(p)))
+                .map(|p| (p.benchmark.to_ascii_lowercase(), Arc::new(p)))
                 .collect(),
             config,
             stats: StatsInner::default(),
@@ -462,7 +462,9 @@ fn handle_connection(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) {
         }
     };
     let (benchmark, resume) = hello;
-    let Some(plan) = shared.plans.get(&benchmark).cloned() else {
+    // Program names match case-insensitively: plans are keyed in lower
+    // case, so a Hello naming `Jess` finds the `jess` plan.
+    let Some(plan) = shared.plans.get(&benchmark.to_ascii_lowercase()).cloned() else {
         shared.stats.incompatible.fetch_add(1, Ordering::Relaxed);
         send_and_close(
             stream,

@@ -254,3 +254,32 @@ fn slow_consumer_floor_evicts_stalled_clients() {
     let drained = server.drain(Duration::from_secs(5));
     assert!(drained.clean);
 }
+
+/// Program names match case-insensitively: a Hello naming `JHLZip` or
+/// `Jess`, as `paper loadgen` passes them through from its command
+/// line, finds the lower-case plan and streams the same bytes as the
+/// lower-case name.
+#[test]
+fn mixed_case_program_names_complete() {
+    let plans = ["JHLZip", "Jess"]
+        .map(|name| build_plan(name, OrderingSource::StaticCallGraph).expect("builds"));
+    let server = WireServer::bind("127.0.0.1:0", plans.to_vec(), ServerConfig::default())
+        .expect("loopback bind");
+    let addr = server.local_addr();
+    let run = |name: &str| {
+        let mut config = fast_client(addr);
+        config.benchmark = name.to_owned();
+        let report = WireClient::new(config)
+            .run()
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let payloads = report.payloads.expect("payloads kept");
+        verify_payloads(&payloads).unwrap_or_else(|e| panic!("{name}: {e}"));
+        payloads
+    };
+    for (mixed, lower) in [("JHLZip", "jhlzip"), ("Jess", "jess")] {
+        assert_eq!(run(mixed), run(lower), "{mixed} streams {lower}'s plan");
+    }
+    assert_eq!(server.stats().incompatible, 0);
+    let drained = server.drain(Duration::from_secs(5));
+    assert!(drained.clean);
+}
