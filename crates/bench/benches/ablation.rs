@@ -42,7 +42,7 @@ fn bench_delimiter_granularity(c: &mut Criterion) {
             b.iter(|| {
                 let units = class_units(&app, &r, None, delim);
                 let schedule = greedy_schedule(&app, &order, &units, &r.layouts, Weights::Static);
-                let mut e = ParallelEngine::new(Link::MODEM_28_8, units, &schedule, 4);
+                let mut e = ParallelEngine::new(Link::MODEM_28_8, &units, &schedule, 4);
                 e.finish_time()
             })
         });
@@ -67,7 +67,7 @@ fn bench_schedule_ablation(c: &mut Criterion) {
     for (label, schedule) in [("greedy", &greedy), ("naive_zero", &naive)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), schedule, |b, s| {
             b.iter(|| {
-                let mut e = ParallelEngine::new(Link::MODEM_28_8, units.clone(), s, usize::MAX);
+                let mut e = ParallelEngine::new(Link::MODEM_28_8, &units, s, usize::MAX);
                 e.unit_ready(0, 1, 0)
             })
         });

@@ -8,6 +8,7 @@ use nonstrict_bench::harness::{criterion_group, criterion_main, Criterion};
 use nonstrict_core::experiment::{self, Suite};
 use nonstrict_core::model::DataLayout;
 use nonstrict_netsim::Link;
+use nonstrict_workloads::stats::table2_row;
 
 fn bench_tables(c: &mut Criterion) {
     // One suite for every table: building it is itself measured first.
@@ -20,8 +21,19 @@ fn bench_tables(c: &mut Criterion) {
 
     let suite = Suite::new().unwrap();
 
+    // Table 2 is read off the sessions' profiling runs; the second row
+    // keeps the cost of re-interpreting every program visible.
     group.bench_function("table2_statistics", |b| {
         b.iter(|| experiment::table2(&suite).len())
+    });
+    group.bench_function("table2_reinterpret", |b| {
+        b.iter(|| {
+            suite
+                .sessions
+                .iter()
+                .map(|s| table2_row(&s.app).total_methods)
+                .sum::<usize>()
+        })
     });
     group.bench_function("table3_base_case", |b| {
         b.iter(|| experiment::table3(&suite).len())

@@ -1236,7 +1236,7 @@ fn cmd_timeline(flags: &Flags) -> Result<String, CliError> {
     let r = restructure(&app, &order);
     let units = class_units(&app, &r, None, DELIMITER_BYTES);
     let schedule = greedy_schedule(&app, &order, &units, &r.layouts, Weights::Static);
-    let mut engine = ParallelEngine::new(link, units.clone(), &schedule, 4);
+    let mut engine = ParallelEngine::new(link, &units, &schedule, 4);
     let finish = engine.finish_time();
 
     const WIDTH: usize = 64;

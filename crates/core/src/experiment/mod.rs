@@ -17,7 +17,7 @@ use nonstrict_bytecode::{Input, InterpError};
 use nonstrict_classfile::GlobalDataBreakdown;
 use nonstrict_netsim::Link;
 use nonstrict_reorder::partition::{summarize, PartitionSummary};
-use nonstrict_workloads::stats::{table2_row, Table2Row};
+use nonstrict_workloads::stats::{table2_row_from_runs, Table2Row};
 
 use crate::metrics::{mean, normalized_percent, reduction_percent};
 use crate::model::{
@@ -82,11 +82,23 @@ fn normalized(session: &Session, config: &SimConfig, strict_total: u64) -> f64 {
     normalized_percent(r.total_cycles, strict_total)
 }
 
-/// Table 2: computed program statistics (delegates to the workloads
-/// crate, which also holds the published values).
+/// Table 2: computed program statistics, read off each session's
+/// profiling runs (the workloads crate holds the row formula and the
+/// published values).
 #[must_use]
 pub fn table2(suite: &Suite) -> Vec<Table2Row> {
-    suite.sessions.iter().map(|s| table2_row(&s.app)).collect()
+    suite
+        .sessions
+        .iter()
+        .map(|s| {
+            table2_row_from_runs(
+                &s.app,
+                s.test.trace.total_instructions(),
+                s.train.trace.total_instructions(),
+                s.test.executed_static_percent,
+            )
+        })
+        .collect()
 }
 
 /// One link's base-case columns in Table 3.

@@ -332,7 +332,7 @@ pub fn run_fleet(
             arrival: at,
             units: c
                 .session
-                .units_for(cfg)
+                .units(cfg)
                 .iter()
                 .flat_map(|u| {
                     let mut v = Vec::with_capacity(u.unit_count());

@@ -8,11 +8,14 @@
 //! with transfer" accounting, including demand fetches on misprediction
 //! and transfer termination when execution finishes first.
 
+use std::sync::OnceLock;
+
 use nonstrict_bytecode::{method_verify_cost, Application, Input, InterpError};
 use nonstrict_netsim::{
     add_checksum_overhead, class_units, crc32, greedy_schedule, ClassUnits, FaultedEngine,
-    InterleavedEngine, OutageSchedule, ParallelEngine, ReplicaEngine, ReplicaHealth, StrictEngine,
-    TransferEngine, Weights, DELIMITER_BYTES, DIGEST_CHECK_CYCLES, MAX_REPLICAS,
+    InterleavedEngine, OutageSchedule, ParallelEngine, ParallelSchedule, ReplicaEngine,
+    ReplicaHealth, StrictEngine, TransferEngine, Weights, DELIMITER_BYTES, DIGEST_CHECK_CYCLES,
+    MAX_REPLICAS,
 };
 use nonstrict_profile::{collect, Collected, TraceEvent};
 use nonstrict_reorder::{
@@ -24,7 +27,7 @@ use crate::journal::{
     negotiate, ClassCheckpoint, FetchRecord, Negotiation, SessionJournal, SessionManifest,
 };
 use crate::linker::{ClassLinkState, IncrementalLinker, LinkStats};
-use crate::manifest::build_manifest;
+use crate::manifest::{build_manifest, UnitManifest};
 use crate::metrics::CycleLedger;
 use crate::model::{
     DataLayout, ExecutionModel, OrderingSource, SimConfig, TransferPolicy, VerifyMode,
@@ -234,7 +237,7 @@ pub enum RunOutcome {
 struct ReplayEnv<'a> {
     config: &'a SimConfig,
     layouts: &'a [ClassLayout],
-    units: &'a [ClassUnits],
+    plan: &'a UnitPlan,
     exec_cycles: u64,
 }
 
@@ -362,7 +365,8 @@ impl SimResult {
 
 /// A prepared benchmark: traces collected on both inputs, orderings and
 /// partitions computed once, ready to simulate any [`SimConfig`]
-/// cheaply.
+/// cheaply. Transfer units, manifests and the parallel schedule are
+/// computed on first use and kept per transfer-unit key.
 ///
 /// ```
 /// use nonstrict_core::{OrderingSource, Session, SimConfig};
@@ -391,6 +395,30 @@ pub struct Session {
     orders: [FirstUseOrder; 4],
     restructured: [RestructuredApp; 4],
     partitions: Vec<ClassPartition>,
+    /// What each transfer-unit key fixes, filled on first use; indexed
+    /// by [`plan_slot`].
+    plans: [OnceLock<UnitPlan>; PLAN_SLOTS],
+}
+
+/// Slots in a [`Session`]'s memo: ordering (4) × data layout (2) ×
+/// execution model (2) × faults active (2), exactly the inputs of
+/// [`Session::units_for`].
+const PLAN_SLOTS: usize = 32;
+
+/// Everything that depends only on a configuration's transfer-unit key,
+/// computed once per [`Session`].
+#[derive(Debug)]
+struct UnitPlan {
+    /// [`Session::units_for`] under this key.
+    units: Vec<ClassUnits>,
+    /// The server's manifest view of `units`.
+    manifest: SessionManifest,
+    /// The greedy parallel schedule over `units`, built the first time
+    /// a parallel configuration asks (its weights follow the ordering).
+    schedule: OnceLock<ParallelSchedule>,
+    /// The content-addressed manifest the origin publishes for `units`,
+    /// built the first time a byzantine configuration pins it.
+    pinned: OnceLock<UnitManifest>,
 }
 
 fn order_slot(source: OrderingSource) -> usize {
@@ -400,6 +428,20 @@ fn order_slot(source: OrderingSource) -> usize {
         OrderingSource::TrainProfile => 2,
         OrderingSource::TestProfile => 3,
     }
+}
+
+/// The memo slot of `config`'s transfer-unit key.
+fn plan_slot(config: &SimConfig) -> usize {
+    let layout = match config.data_layout {
+        DataLayout::Whole => 0,
+        DataLayout::Partitioned => 1,
+    };
+    let execution = match config.execution {
+        ExecutionModel::NonStrict => 0,
+        ExecutionModel::Strict => 1,
+    };
+    let faults = usize::from(config.active_faults().is_some());
+    ((order_slot(config.ordering) * 2 + layout) * 2 + execution) * 2 + faults
 }
 
 impl Session {
@@ -431,6 +473,7 @@ impl Session {
             orders,
             restructured,
             partitions,
+            plans: std::array::from_fn(|_| OnceLock::new()),
         })
     }
 
@@ -452,7 +495,8 @@ impl Session {
         &self.partitions
     }
 
-    /// Transfer units for one configuration.
+    /// Transfer units for one configuration, computed afresh. Every
+    /// simulation reads the memoized copy, [`Session::units`].
     #[must_use]
     pub fn units_for(&self, config: &SimConfig) -> Vec<ClassUnits> {
         let delim = match config.execution {
@@ -470,6 +514,46 @@ impl Session {
             add_checksum_overhead(&mut units);
         }
         units
+    }
+
+    /// Transfer units for one configuration, computed on first use and
+    /// shared by every later configuration with the same ordering, data
+    /// layout, execution model and fault activity.
+    #[must_use]
+    pub fn units(&self, config: &SimConfig) -> &[ClassUnits] {
+        &self.plan(config).units
+    }
+
+    /// The memo slot for `config`, filled on first use.
+    fn plan(&self, config: &SimConfig) -> &UnitPlan {
+        self.plans[plan_slot(config)].get_or_init(|| {
+            let units = self.units_for(config);
+            let manifest = self.manifest_of(&units);
+            UnitPlan {
+                units,
+                manifest,
+                schedule: OnceLock::new(),
+                pinned: OnceLock::new(),
+            }
+        })
+    }
+
+    /// The greedy parallel schedule for `config`, built once per slot.
+    fn schedule<'p>(&self, config: &SimConfig, plan: &'p UnitPlan) -> &'p ParallelSchedule {
+        plan.schedule.get_or_init(|| {
+            let weights = match config.ordering {
+                OrderingSource::TrainProfile => Weights::Profile(&self.train.profile),
+                OrderingSource::TestProfile => Weights::Profile(&self.test.profile),
+                _ => Weights::Static,
+            };
+            greedy_schedule(
+                &self.app,
+                self.order(config.ordering),
+                &plan.units,
+                &self.restructured(config.ordering).layouts,
+                weights,
+            )
+        })
     }
 
     /// Pure execution cycles on `input`.
@@ -520,8 +604,8 @@ impl Session {
     /// Simulates one configuration on `input`.
     #[must_use]
     pub fn simulate(&self, input: Input, config: &SimConfig) -> SimResult {
-        let units = self.units_for(config);
-        let order = self.order(config.ordering);
+        let plan = self.plan(config);
+        let units = &plan.units;
         let layouts = &self.restructured(config.ordering).layouts;
         let exec_cycles = self.exec_cycles(input);
 
@@ -541,16 +625,16 @@ impl Session {
                 }
             };
             let class_order: Vec<usize> = (0..units.len()).collect();
-            let mut engine = StrictEngine::new(config.link, &units, &class_order);
+            let mut engine = StrictEngine::new(config.link, units, &class_order);
             let entry_class = self.app.program.entry().class.0 as usize;
             let perfect_finish = engine.finish_time();
             if let Some(fc) = config.active_faults() {
                 // Same transfer through the faulted link: everything
                 // beyond the perfect-link finish is recovery time.
                 let mut faulted = FaultedEngine::new(
-                    StrictEngine::new(config.link, &units, &class_order),
+                    StrictEngine::new(config.link, units, &class_order),
                     fc.plan(),
-                    &units,
+                    units,
                     config.link,
                 );
                 let entry_unit = units[entry_class].unit_count() - 1;
@@ -613,11 +697,11 @@ impl Session {
             };
         }
 
-        let mut engine = self.build_engine(config, &units, order, layouts);
+        let mut engine = self.build_engine(config, plan);
         let env = ReplayEnv {
             config,
             layouts,
-            units: &units,
+            plan,
             exec_cycles,
         };
         match self.replay(input, &env, engine.as_mut(), ReplayMode::Run) {
@@ -629,32 +713,21 @@ impl Session {
     /// Builds the transfer engine for one configuration. Resume uses
     /// this too: a journal is replayed against a *fresh* engine built
     /// exactly like the one that died.
-    fn build_engine(
-        &self,
-        config: &SimConfig,
-        units: &[ClassUnits],
-        order: &FirstUseOrder,
-        layouts: &[ClassLayout],
-    ) -> Box<dyn TransferEngine> {
-        let class_order_fu: Vec<usize> = order.class_order().iter().map(|c| c.0 as usize).collect();
-        let weights = match config.ordering {
-            OrderingSource::TrainProfile => Weights::Profile(&self.train.profile),
-            OrderingSource::TestProfile => Weights::Profile(&self.test.profile),
-            _ => Weights::Static,
-        };
+    fn build_engine(&self, config: &SimConfig, plan: &UnitPlan) -> Box<dyn TransferEngine> {
+        let units = &plan.units;
+        let order = self.order(config.ordering);
         let mut engine: Box<dyn TransferEngine> = match config.transfer {
             TransferPolicy::Strict => {
-                Box::new(StrictEngine::new(config.link, units, &class_order_fu))
+                let class_order: Vec<usize> =
+                    order.class_order().iter().map(|c| c.0 as usize).collect();
+                Box::new(StrictEngine::new(config.link, units, &class_order))
             }
-            TransferPolicy::Parallel { limit } => {
-                let schedule = greedy_schedule(&self.app, order, units, layouts, weights);
-                Box::new(ParallelEngine::new(
-                    config.link,
-                    units.to_vec(),
-                    &schedule,
-                    limit,
-                ))
-            }
+            TransferPolicy::Parallel { limit } => Box::new(ParallelEngine::new(
+                config.link,
+                units,
+                self.schedule(config, plan),
+                limit,
+            )),
             TransferPolicy::Interleaved => Box::new(InterleavedEngine::new(
                 &self.app,
                 self.restructured(config.ordering),
@@ -670,17 +743,16 @@ impl Session {
             // top. An active byzantine config arms the manifest layer
             // on top of the routing; `None` is bit-identical to an
             // unarmored replica engine.
-            let plan = config.active_byzantine().map(|bc| {
-                let manifest = build_manifest(units, self.manifest(config).epoch);
-                bc.plan(manifest.wire_bytes())
-            });
+            let byzantine = config
+                .active_byzantine()
+                .map(|bc| bc.plan(self.pinned(plan).wire_bytes()));
             engine = Box::new(ReplicaEngine::with_integrity(
                 engine,
                 &rc.profiles(config),
                 rc.hedge_deadline_cycles,
                 units,
                 config.link,
-                plan.as_ref(),
+                byzantine.as_ref(),
             ));
         } else if let Some(fc) = config.active_faults() {
             engine = Box::new(FaultedEngine::new(engine, fc.plan(), units, config.link));
@@ -706,9 +778,10 @@ impl Session {
         let ReplayEnv {
             config,
             layouts,
-            units,
+            plan,
             exec_cycles,
         } = *env;
+        let units = &plan.units;
         let trace = &self.collected(input).trace;
         let mut linker = IncrementalLinker::new(
             &self
@@ -788,7 +861,7 @@ impl Session {
             // trust root every later digest check compares against.
             // Zero when no byzantine plan is armed; resumed runs
             // restore the pre-crash charge from the journal instead.
-            let pin = self.manifest_pin_cost(config, units);
+            let pin = self.manifest_pin_cost(config, plan);
             st.clock += pin;
             st.integrity_cycles += pin;
         }
@@ -853,7 +926,7 @@ impl Session {
                 if st.clock >= at {
                     // The connection (and client) die here; what the
                     // client persisted is the journal.
-                    let journal = self.checkpoint(config, units, engine, &linker, &st);
+                    let journal = self.checkpoint(config, plan, engine, &linker, &st);
                     return RunOutcome::Interrupted(journal.encode());
                 }
             }
@@ -1092,12 +1165,13 @@ impl Session {
     fn checkpoint(
         &self,
         config: &SimConfig,
-        units: &[ClassUnits],
+        plan: &UnitPlan,
         engine: &mut dyn TransferEngine,
         linker: &IncrementalLinker,
         st: &ReplayState,
     ) -> SessionJournal {
-        let manifest = self.manifest(config);
+        let units = &plan.units;
+        let manifest = &plan.manifest;
         let classes = (0..units.len())
             .map(|c| {
                 // Streams deliver strictly in order, so the first unit
@@ -1134,7 +1208,7 @@ impl Session {
         // reconnect can tell whether the origin's manifest moved while
         // the client was away (zero when no byzantine plan is armed).
         let manifest_digest = if config.active_byzantine().is_some() {
-            build_manifest(units, manifest.epoch).digest()
+            self.pinned(plan).digest()
         } else {
             0
         };
@@ -1168,8 +1242,12 @@ impl Session {
     /// class's epoch, which is what lets reconnect negotiation
     /// invalidate stale classes without touching the rest.
     #[must_use]
-    pub fn manifest(&self, config: &SimConfig) -> SessionManifest {
-        let units = self.units_for(config);
+    pub fn manifest(&self, config: &SimConfig) -> &SessionManifest {
+        &self.plan(config).manifest
+    }
+
+    /// The [`SessionManifest`] of `units`.
+    fn manifest_of(&self, units: &[ClassUnits]) -> SessionManifest {
         let class_epochs = units
             .iter()
             .map(|u| {
@@ -1196,12 +1274,18 @@ impl Session {
     /// manifest's wire transfer on the session link plus one frame
     /// verification. Zero when no byzantine plan is armed, so unarmored
     /// runs stay byte-identical.
-    fn manifest_pin_cost(&self, config: &SimConfig, units: &[ClassUnits]) -> u64 {
+    fn manifest_pin_cost(&self, config: &SimConfig, plan: &UnitPlan) -> u64 {
         if config.active_byzantine().is_none() {
             return 0;
         }
-        let manifest = build_manifest(units, self.manifest(config).epoch);
-        config.link.cycles_for(manifest.wire_bytes()) + DIGEST_CHECK_CYCLES
+        config.link.cycles_for(self.pinned(plan).wire_bytes()) + DIGEST_CHECK_CYCLES
+    }
+
+    /// The content-addressed manifest the origin publishes for `plan`'s
+    /// units, built once per slot.
+    fn pinned<'p>(&self, plan: &'p UnitPlan) -> &'p UnitManifest {
+        plan.pinned
+            .get_or_init(|| build_manifest(&plan.units, plan.manifest.epoch))
     }
 
     /// Runs `config` on `input` but kills the session — connection and
@@ -1249,15 +1333,14 @@ impl Session {
             };
             return RunOutcome::Interrupted(journal.encode());
         }
-        let units = self.units_for(config);
-        let order = self.order(config.ordering);
+        let plan = self.plan(config);
         let layouts = &self.restructured(config.ordering).layouts;
         let exec_cycles = self.exec_cycles(input);
-        let mut engine = self.build_engine(config, &units, order, layouts);
+        let mut engine = self.build_engine(config, plan);
         let env = ReplayEnv {
             config,
             layouts,
-            units: &units,
+            plan,
             exec_cycles,
         };
         self.replay(
@@ -1289,8 +1372,9 @@ impl Session {
         journal_bytes: &[u8],
         downtime: u64,
     ) -> SimResult {
-        let manifest = self.manifest(config);
-        match negotiate(journal_bytes, &manifest) {
+        let plan = self.plan(config);
+        let manifest = &plan.manifest;
+        match negotiate(journal_bytes, manifest) {
             Negotiation::Resume { journal, stale } => {
                 if config.is_baseline() {
                     // The sequential download resumes from its byte
@@ -1303,13 +1387,12 @@ impl Session {
                     r.outage.resumes += journal.resumes + 1;
                     return r;
                 }
-                let units = self.units_for(config);
                 let mut journal = *journal;
                 let mut extra = downtime;
                 for &c in &stale {
                     extra += self.refetch_cost(
                         config,
-                        &units,
+                        &plan.units,
                         &mut journal.classes[c],
                         manifest.class_epochs[c],
                         c,
@@ -1323,20 +1406,19 @@ impl Session {
                 // digest check can be trusted.
                 let mut repins = 0;
                 if config.active_byzantine().is_some() {
-                    let current = build_manifest(&units, manifest.epoch);
+                    let current = self.pinned(plan);
                     if journal.manifest_digest != current.digest() {
                         extra += config.link.cycles_for(current.wire_bytes()) + DIGEST_CHECK_CYCLES;
                         repins = 1;
                     }
                 }
-                let order = self.order(config.ordering);
                 let layouts = &self.restructured(config.ordering).layouts;
                 let exec_cycles = self.exec_cycles(input);
-                let mut engine = self.build_engine(config, &units, order, layouts);
+                let mut engine = self.build_engine(config, plan);
                 let env = ReplayEnv {
                     config,
                     layouts,
-                    units: &units,
+                    plan,
                     exec_cycles,
                 };
                 let mode = ReplayMode::Resume(Box::new(ResumeCarry {

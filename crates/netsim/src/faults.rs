@@ -445,7 +445,7 @@ mod tests {
             class_order: (0..units.len()).collect(),
             thresholds: vec![0; units.len()],
         };
-        ParallelEngine::new(LINK, units.to_vec(), &schedule, 4)
+        ParallelEngine::new(LINK, units, &schedule, 4)
     }
 
     #[test]

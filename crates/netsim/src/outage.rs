@@ -319,7 +319,7 @@ mod tests {
             class_order: (0..units.len()).collect(),
             thresholds: vec![0; units.len()],
         };
-        ParallelEngine::new(LINK, units, &schedule, 4)
+        ParallelEngine::new(LINK, &units, &schedule, 4)
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl ParallelEngine {
     #[must_use]
     pub fn new(
         link: Link,
-        units: Vec<ClassUnits>,
+        units: &[ClassUnits],
         schedule: &ParallelSchedule,
         limit: usize,
     ) -> Self {
@@ -387,7 +387,7 @@ mod tests {
     fn single_stream_arrivals_are_exact() {
         let u = units(&[(100, &[50, 50])]);
         let s = schedule_for(&u, vec![0]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         assert_eq!(e.unit_ready(0, 0, 0), 1000);
         assert_eq!(e.unit_ready(0, 1, 0), 1500);
         assert_eq!(e.unit_ready(0, 2, 0), 2000);
@@ -400,7 +400,7 @@ mod tests {
         // delivers both at cycle 100*10*2 = 2000.
         let u = units(&[(100, &[]), (100, &[])]);
         let s = schedule_for(&u, vec![0, 0]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         let a = e.unit_ready(0, 0, 0);
         let b = e.unit_ready(1, 0, 0);
         assert_eq!(a, 2000);
@@ -411,7 +411,7 @@ mod tests {
     fn limit_one_serializes_transfers() {
         let u = units(&[(100, &[]), (100, &[])]);
         let s = schedule_for(&u, vec![0, 0]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 1);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 1);
         assert_eq!(e.unit_ready(0, 0, 0), 1000);
         assert_eq!(e.unit_ready(1, 0, 0), 2000);
     }
@@ -421,7 +421,7 @@ mod tests {
         // Class 1 may start only after 60 bytes of class 0 have arrived.
         let u = units(&[(100, &[]), (40, &[])]);
         let s = schedule_for(&u, vec![0, 60]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         // class 0 alone until cycle 600; then both share. class 0 has 40
         // left -> +800 cycles => 1400. class 1: 40 bytes shared the whole
         // way => also 1400.
@@ -435,7 +435,7 @@ mod tests {
         // cycle 0 overrides it.
         let u = units(&[(100, &[]), (50, &[])]);
         let s = schedule_for(&u, vec![0, 100]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         let t = e.unit_ready(1, 0, 0);
         // both share from 0: class 1 needs 50 bytes at half rate = 1000
         assert_eq!(t, 1000);
@@ -445,7 +445,7 @@ mod tests {
     fn demand_fetch_queues_when_limit_reached() {
         let u = units(&[(100, &[]), (100, &[]), (50, &[])]);
         let s = schedule_for(&u, vec![0, 0, u64::MAX]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 2);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 2);
         // classes 0 and 1 fill both slots until 2000; class 2 demanded at
         // cycle 0 must wait, then gets full bandwidth: 2000 + 500.
         let t = e.unit_ready(2, 0, 0);
@@ -457,7 +457,7 @@ mod tests {
         let u = units(&[(100, &[20, 30]), (50, &[10])]);
         let total: u64 = u.iter().map(ClassUnits::total).sum();
         let s = schedule_for(&u, vec![0, 0]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         // Work-conserving fair sharing finishes all bytes exactly when a
         // single stream would.
         assert_eq!(e.finish_time(), LINK.cycles_for(total));
@@ -468,7 +468,7 @@ mod tests {
     fn queries_in_the_past_return_recorded_arrivals() {
         let u = units(&[(100, &[50]), (10, &[])]);
         let s = schedule_for(&u, vec![0, 0]);
-        let mut e = ParallelEngine::new(LINK, u, &s, 4);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 4);
         let t1 = e.unit_ready(1, 0, 0);
         // Re-query later: same answer.
         assert_eq!(e.unit_ready(1, 0, t1 + 10_000), t1);
@@ -480,7 +480,7 @@ mod tests {
         // engine force-releases when the pipe drains.
         let u = units(&[(10, &[]), (10, &[])]);
         let s = schedule_for(&u, vec![0, 10]); // cap at dep capacity
-        let mut e = ParallelEngine::new(LINK, u, &s, 1);
+        let mut e = ParallelEngine::new(LINK, &u, &s, 1);
         assert_eq!(e.unit_ready(1, 0, 0), 200);
     }
 }
@@ -878,7 +878,7 @@ mod differential {
                 name: "diff",
             };
             let limit = [1, 2, 4, usize::MAX][case % 4];
-            let mut new = ParallelEngine::new(link, units.clone(), &schedule, limit);
+            let mut new = ParallelEngine::new(link, &units, &schedule, limit);
             let mut old = reference::ParallelEngine::new(link, units.clone(), &schedule, limit);
             assert_eq!(new.total_bytes(), old.total_bytes(), "case {case}");
             assert_same_record(&new, &old, &units, case);

@@ -637,7 +637,7 @@ mod tests {
             class_order: (0..units.len()).collect(),
             thresholds: vec![0; units.len()],
         };
-        ParallelEngine::new(LINK, units.to_vec(), &schedule, 4)
+        ParallelEngine::new(LINK, units, &schedule, 4)
     }
 
     fn perfect_profile(seed: u64) -> ReplicaProfile {

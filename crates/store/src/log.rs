@@ -16,6 +16,7 @@
 //!   fails closed with a typed [`StoreError`]: the caller cold-starts
 //!   rather than trusting a poisoned log.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use nonstrict_wire::crc32;
@@ -47,10 +48,19 @@ pub struct Recovered {
 }
 
 /// An append-oriented record log over one [`Vfs`] file.
+///
+/// The log assumes it is its file's only writer: it remembers that the
+/// header is on disk, so an append reads nothing. Clones share that
+/// knowledge.
 #[derive(Clone)]
 pub struct JournalLog {
     vfs: Arc<dyn Vfs>,
     name: String,
+    /// Whether this log has seen its file with a header since it last
+    /// removed or rewrote it. `false` only costs the next append one
+    /// read to find out. Stores are `Release` and loads `Acquire`, so a
+    /// clone that reads `true` also sees the header append behind it.
+    has_header: Arc<AtomicBool>,
 }
 
 impl JournalLog {
@@ -60,12 +70,14 @@ impl JournalLog {
         JournalLog {
             vfs,
             name: name.to_owned(),
+            has_header: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Appends one record, creating the file (with its header) on
     /// first use. The record is framed with its own CRC so a torn
-    /// append is detectable and truncatable.
+    /// append is detectable and truncatable. Only the first append
+    /// after creation, removal or a rewrite reads the file.
     ///
     /// # Errors
     ///
@@ -79,15 +91,18 @@ impl JournalLog {
                 cap: MAX_RECORD_BYTES,
             });
         }
-        match self.vfs.read(&self.name) {
-            Ok(_) => {}
-            Err(StoreError::NotFound { .. }) => {
-                let mut header = Vec::with_capacity(HEADER_LEN);
-                header.extend_from_slice(&LOG_MAGIC);
-                header.extend_from_slice(&LOG_VERSION.to_le_bytes());
-                self.vfs.append(&self.name, &header)?;
+        if !self.has_header.load(Ordering::Acquire) {
+            match self.vfs.read(&self.name) {
+                Ok(_) => {}
+                Err(StoreError::NotFound { .. }) => {
+                    let mut header = Vec::with_capacity(HEADER_LEN);
+                    header.extend_from_slice(&LOG_MAGIC);
+                    header.extend_from_slice(&LOG_VERSION.to_le_bytes());
+                    self.vfs.append(&self.name, &header)?;
+                }
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
+            self.has_header.store(true, Ordering::Release);
         }
         let mut frame = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
         frame.extend_from_slice(
@@ -120,12 +135,16 @@ impl JournalLog {
     pub fn recover(&self) -> Result<Recovered, StoreError> {
         let bytes = match self.vfs.read(&self.name) {
             Ok(b) => b,
-            Err(StoreError::NotFound { .. }) => return Ok(Recovered::default()),
+            Err(StoreError::NotFound { .. }) => {
+                self.forget_header();
+                return Ok(Recovered::default());
+            }
             Err(e) => return Err(e),
         };
         if bytes.len() < HEADER_LEN {
             // A crash mid-first-append can cut the header itself: all
             // torn tail, nothing recoverable.
+            self.forget_header();
             self.vfs.remove(&self.name)?;
             return Ok(Recovered {
                 records: Vec::new(),
@@ -178,6 +197,7 @@ impl JournalLog {
         if torn_bytes > 0 {
             // Compact the torn tail away so the next append starts at a
             // frame boundary.
+            self.forget_header();
             self.vfs.write_atomic(&self.name, &bytes[..good_end])?;
         }
         Ok(Recovered {
@@ -215,12 +235,32 @@ impl JournalLog {
             let crc = crc32(&buf[at..]);
             buf.extend_from_slice(&crc.to_le_bytes());
         }
+        self.forget_header();
         self.vfs.write_atomic(&self.name, &buf)
+    }
+
+    /// Removes the log's file: the next append starts a fresh log.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the VFS reports.
+    pub fn remove(&self) -> Result<(), StoreError> {
+        self.forget_header();
+        self.vfs.remove(&self.name)
+    }
+
+    /// Drops the knowledge that the header is on disk: before any
+    /// operation that removes or replaces the file, and when recovery
+    /// finds no file.
+    fn forget_header(&self) {
+        self.has_header.store(false, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
     use super::*;
     use crate::vfs::{FaultFs, FaultKnobs};
 
@@ -345,6 +385,70 @@ mod tests {
                 assert_eq!(got.records[1], b"doomed-record".to_vec());
             }
         }
+    }
+
+    #[test]
+    fn append_after_remove_writes_a_fresh_header() {
+        let fs = mem();
+        let log = JournalLog::new(fs.clone(), "j.nsjl");
+        log.append_record(b"before").unwrap();
+        log.remove().unwrap();
+        log.append_record(b"after").unwrap();
+        fs.crash();
+        let durable = fs.durable("j.nsjl").unwrap();
+        assert_eq!(durable[..4], LOG_MAGIC);
+        assert_eq!(durable.len(), HEADER_LEN + FRAME_OVERHEAD + b"after".len());
+        let got = JournalLog::new(fs.clone(), "j.nsjl").recover().unwrap();
+        assert_eq!(got.records, vec![b"after".to_vec()]);
+        assert_eq!(got.torn_bytes, 0);
+    }
+
+    /// An in-memory store that counts reads.
+    struct CountingFs {
+        inner: FaultFs,
+        reads: AtomicU64,
+    }
+
+    impl Vfs for CountingFs {
+        fn read(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.append(name, bytes)
+        }
+        fn remove(&self, name: &str) -> Result<(), StoreError> {
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Result<Vec<String>, StoreError> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn only_the_first_append_after_a_removal_or_rewrite_reads_the_file() {
+        let fs = Arc::new(CountingFs {
+            inner: FaultFs::new(FaultKnobs::quiet(1)),
+            reads: AtomicU64::new(0),
+        });
+        let reads = || fs.reads.load(Ordering::Relaxed);
+        let log = JournalLog::new(fs.clone(), "j.nsjl");
+        for i in 0..10u8 {
+            log.append_record(&[i]).unwrap();
+        }
+        assert_eq!(reads(), 1);
+        log.remove().unwrap();
+        log.append_record(b"fresh").unwrap();
+        log.append_record(b"again").unwrap();
+        assert_eq!(reads(), 2);
+        log.rewrite(&[vec![42]]).unwrap();
+        log.append_record(b"after").unwrap();
+        assert_eq!(reads(), 3);
+        let got = log.recover().unwrap();
+        assert_eq!(got.records, vec![vec![42], b"after".to_vec()]);
     }
 
     #[test]

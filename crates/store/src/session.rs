@@ -466,7 +466,7 @@ impl SessionStore for DurableSession {
             }),
             Ok(None) => None,
             Err(_) => {
-                let _ = self.vfs.remove(JOURNAL_NAME);
+                let _ = self.log.remove();
                 let _ = self.vfs.remove(MANIFEST_NAME);
                 let _ = self.cache.clear();
                 self.pin_epoch = None;
@@ -724,6 +724,30 @@ mod tests {
         // The scrub must leave a journal-free slate.
         assert!(fs.read(JOURNAL_NAME).is_err());
         assert!(fs.read(MANIFEST_NAME).is_err());
+    }
+
+    #[test]
+    fn a_scrubbed_session_journals_onto_a_fresh_log() {
+        let fs = Arc::new(FaultFs::new(FaultKnobs::quiet(6)));
+        let mut s = DurableSession::new(fs.clone());
+        s.on_pin(7, &manifest().encode()).unwrap();
+        let mut bytes = fs.durable(MANIFEST_NAME).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        fs.set_durable(MANIFEST_NAME, bytes);
+        // The same session, having journaled already, hits the rotted
+        // manifest and scrubs; what it journals next needs a header.
+        assert!(s.warm_start().is_none());
+        s.on_pin(7, &manifest().encode()).unwrap();
+        s.on_complete().unwrap();
+        fs.crash();
+        let r = DurableSession::new(fs.clone())
+            .recover_session()
+            .unwrap()
+            .unwrap();
+        assert_eq!(r.generation, 7);
+        assert!(r.completed);
+        assert_eq!(r.torn_bytes, 0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use nonstrict_bytecode::{Application, Input, Interpreter};
 
-/// The row a benchmark contributes to Table 2, computed by actually
-/// running the program on both inputs.
+/// The row a benchmark contributes to Table 2, computed from real runs
+/// of the program on both inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Benchmark name.
@@ -147,6 +147,19 @@ pub fn table2_row(app: &Application) -> Table2Row {
     };
     let (dyn_test, pct) = run(Input::Test);
     let (dyn_train, _) = run(Input::Train);
+    table2_row_from_runs(app, dyn_test, dyn_train, pct)
+}
+
+/// `app`'s Table 2 row from runs already made: `dyn_test` and
+/// `dyn_train` dynamic instructions on the two inputs, and
+/// `executed_pct` percent of static instructions the Test run executed.
+#[must_use]
+pub fn table2_row_from_runs(
+    app: &Application,
+    dyn_test: u64,
+    dyn_train: u64,
+    executed_pct: f64,
+) -> Table2Row {
     let static_instrs = app.program.static_instruction_count();
     let methods = app.program.method_count();
     Table2Row {
@@ -156,7 +169,7 @@ pub fn table2_row(app: &Application) -> Table2Row {
         dyn_test_k: dyn_test as f64 / 1000.0,
         dyn_train_k: dyn_train as f64 / 1000.0,
         static_k: static_instrs as f64 / 1000.0,
-        executed_pct: pct,
+        executed_pct,
         total_methods: methods,
         instrs_per_method: static_instrs as f64 / methods as f64,
     }

@@ -132,8 +132,8 @@ fn greedy_schedule_delivers_the_first_class_sooner_than_naive() {
         thresholds: vec![0; units.len()],
     };
     let entry = app.program.entry().class.0 as usize;
-    let mut e_greedy = ParallelEngine::new(Link::MODEM_28_8, units.clone(), &greedy, usize::MAX);
-    let mut e_naive = ParallelEngine::new(Link::MODEM_28_8, units.clone(), &naive, usize::MAX);
+    let mut e_greedy = ParallelEngine::new(Link::MODEM_28_8, &units, &greedy, usize::MAX);
+    let mut e_naive = ParallelEngine::new(Link::MODEM_28_8, &units, &naive, usize::MAX);
     let t_greedy = e_greedy.unit_ready(entry, 1, 0);
     let t_naive = e_naive.unit_ready(entry, 1, 0);
     assert!(

@@ -82,7 +82,7 @@ fn all_engines_agree_on_total_bytes_and_work_conserving_finish() {
         let mut strict = StrictEngine::new(link, &units, &class_order);
         let mut interleaved = InterleavedEngine::new(&app, &r, &units, &order, link);
         let schedule = greedy_schedule(&app, &order, &units, &r.layouts, Weights::Static);
-        let mut parallel = ParallelEngine::new(link, units.clone(), &schedule, 4);
+        let mut parallel = ParallelEngine::new(link, &units, &schedule, 4);
 
         // The link is work-conserving under every policy: same bytes,
         // same completion time.
@@ -107,7 +107,7 @@ fn engine_arrivals_are_monotone_within_each_class_stream() {
     let r = restructure(&app, &order);
     let units = class_units(&app, &r, None, DELIMITER_BYTES);
     let schedule = greedy_schedule(&app, &order, &units, &r.layouts, Weights::Static);
-    let mut engine = ParallelEngine::new(Link::MODEM_28_8, units.clone(), &schedule, 2);
+    let mut engine = ParallelEngine::new(Link::MODEM_28_8, &units, &schedule, 2);
     for (c, u) in units.iter().enumerate() {
         let mut last = 0;
         for i in 0..u.unit_count() {

@@ -48,7 +48,7 @@ fn parallel_engine_is_work_conserving() {
             thresholds: vec![0; units.len()],
         };
         let total: u64 = units.iter().map(ClassUnits::total).sum();
-        let mut engine = ParallelEngine::new(link, units, &schedule, limit);
+        let mut engine = ParallelEngine::new(link, &units, &schedule, limit);
         assert_eq!(engine.finish_time(), link.cycles_for(total));
     }
 }
@@ -80,7 +80,7 @@ fn parallel_arrivals_are_monotone_and_bounded() {
                 caps
             },
         };
-        let mut engine = ParallelEngine::new(link, units.clone(), &schedule, limit);
+        let mut engine = ParallelEngine::new(link, &units, &schedule, limit);
         let finish = engine.finish_time();
         for (c, u) in units.iter().enumerate() {
             let mut last = 0;
@@ -120,8 +120,8 @@ fn demand_fetch_never_delays_the_requested_class() {
                 .map(|i| if i == last { cap } else { 0 })
                 .collect(),
         };
-        let mut scheduled = ParallelEngine::new(link, units.clone(), &schedule, 4);
-        let mut demanded = ParallelEngine::new(link, units.clone(), &schedule, 4);
+        let mut scheduled = ParallelEngine::new(link, &units, &schedule, 4);
+        let mut demanded = ParallelEngine::new(link, &units, &schedule, 4);
         // never ask for it: simulate everything, then read the arrival
         let f = scheduled.finish_time();
         let t_wait = scheduled.unit_ready(last, 0, f);
